@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a bench smoke pass and a perf-regression guard.
+# Tier-1 verification plus the benchmark's self-tests and a bench smoke
+# pass. Performance is gated by the benchmark itself (BENCHMARK.json,
+# perfbench/README.md), not here.
 #
-#   ./ci.sh            build + test + bench smoke + perf guard
+#   ./ci.sh            build + test + lint + sweep gate + bench smoke
 #   TH_THREADS=4 ./ci.sh   same, with the execution layer at 4 lanes
 #
 # TH_BENCH_FAST=1 shrinks the Criterion warm-up/measurement budgets so
@@ -20,6 +22,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # determinism contract says every result is identical to the 1-lane
 # default the first `cargo test` above used.
 TH_THREADS=4 cargo test -q --release
+
+# The benchmark package builds against the workspace APIs it drives
+# (presets, the DTM driver, the engine default, co-simulation timers);
+# its self-tests catch a workspace change that would break it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Sweep orchestrator gate: a fault-injected selftest sweep must retry,
 # degrade the permanently failing shard without aborting its siblings,
@@ -49,60 +56,5 @@ echo "sweep gate: fault-injected selftest degraded, resumed, and recovered"
 # Bench smoke: the thermal kernel comparison, just to prove it runs end
 # to end.
 TH_BENCH_FAST=1 cargo bench -p th-bench --bench thermal_sweep
-
-# Perf-regression guard: rerun bench_report at the committed report's own
-# budget in a scratch directory (so the repo's BENCH_pipeline.json is
-# never dirtied) and compare the fig8 sequential time against the
-# committed number. Wall-clock on shared CI hosts is noisy, so only a
-# >1.5x slowdown fails; faster is always fine.
-committed=BENCH_pipeline.json
-budget=$(grep -o '"budget_insts": *[0-9]*' "$committed" | grep -o '[0-9]*')
-rows=$(grep -o '"fig10_rows": *[0-9]*' "$committed" | grep -o '[0-9]*')
-guard_dir=$(mktemp -d)
-trap 'rm -rf "$guard_dir"' EXIT
-bench_bin=$PWD/target/release/bench_report
-(cd "$guard_dir" && TH_THREADS=1 "$bench_bin" "$budget" "$rows")
-old=$(grep -o '"name": "fig8", "seq_s": *[0-9.]*' "$committed" | grep -o '[0-9.]*$')
-new=$(grep -o '"name": "fig8", "seq_s": *[0-9.]*' "$guard_dir/BENCH_pipeline.json" | grep -o '[0-9.]*$')
-if ! awk -v old="$old" -v new="$new" 'BEGIN {
-    ratio = new / old
-    printf "perf guard: fig8 seq %.2fs fresh vs %.2fs committed (%.2fx)\n", new, old, ratio
-    exit ratio > 1.5 ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - fig8 sequential time regressed more than 1.5x" >&2
-    exit 1
-fi
-
-# Same guard for the closed-loop co-simulation smoke that bench_report
-# just ran (30 intervals of perform/price/heat/react).
-old=$(grep -o '"cosim": {"intervals": [0-9]*, "total_s": *[0-9.]*' "$committed" | grep -o '[0-9.]*$')
-new=$(grep -o '"cosim": {"intervals": [0-9]*, "total_s": *[0-9.]*' "$guard_dir/BENCH_pipeline.json" | grep -o '[0-9.]*$')
-if ! awk -v old="$old" -v new="$new" 'BEGIN {
-    ratio = new / old
-    printf "perf guard: cosim smoke %.2fs fresh vs %.2fs committed (%.2fx)\n", new, old, ratio
-    exit ratio > 1.5 ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - closed-loop co-simulation time regressed more than 1.5x" >&2
-    exit 1
-fi
-
-# Herding guard: the fresh report's *measured* (activity-ledger) top-die
-# register-file fraction must not drop below what the modeled
-# reconstruction claims — if it does, either the ledger lost recording
-# sites or herding stopped steering accesses to the top die.
-rf_line=$(grep -o '"unit": "RegFile[^}]*' "$guard_dir/BENCH_pipeline.json" | head -1)
-measured=$(echo "$rf_line" | grep -o '"measured_top_die": *[0-9.]*' | grep -o '[0-9.]*$')
-modeled=$(echo "$rf_line" | grep -o '"modeled_top_die": *[0-9.]*' | grep -o '[0-9.]*$')
-if [ -z "$measured" ] || [ -z "$modeled" ]; then
-    echo "ci.sh: FAIL - herding block missing from BENCH_pipeline.json" >&2
-    exit 1
-fi
-if ! awk -v m="$measured" -v o="$modeled" 'BEGIN {
-    printf "herding guard: RF top-die %.1f%% measured vs %.1f%% modeled\n", 100*m, 100*o
-    exit m + 0.005 < o ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - measured RF top-die fraction fell below the modeled baseline" >&2
-    exit 1
-fi
 
 echo "ci.sh: all checks passed"

@@ -2,8 +2,9 @@
 //! and event engines, on one pointer-chasing workload (treeadd-like, low
 //! ILP — long idle stretches the event core can skip) and one SPECint
 //! workload (gzip-like, busy pipeline — the wakeup structures carry the
-//! load). This isolates the cycle-loop cost from the experiment drivers
-//! that `bench_report` times end to end.
+//! load). This isolates the cycle-loop cost from the experiment sweeps
+//! that the repository benchmark (`BENCHMARK.json`, `perfbench/`) times
+//! end to end.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use th_sim::{CoreEngine, SimConfig, Simulator};

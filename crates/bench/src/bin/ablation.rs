@@ -15,8 +15,7 @@ use th_width::UpperEncoding;
 use th_workloads::{all_workloads, workload_by_name};
 
 fn main() {
-    let budget: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(u64::MAX);
+    let budget = th_bench::arg_or_usage(1, u64::MAX, "ablation [instruction-budget]");
 
     predictor_size_sweep(budget);
     rs_herding(budget);

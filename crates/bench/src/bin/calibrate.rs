@@ -7,10 +7,7 @@ use th_workloads::{all_workloads, workload_by_name};
 use thermal_herding::{run_chip, thermal_analysis, thermal_analysis_scaled, Variant};
 
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(u64::MAX);
+    let budget = th_bench::arg_or_usage(1, u64::MAX, "calibrate [instruction-budget] [thermal]");
 
     println!("== power: mpeg2-like dual-core ==");
     let mpeg2 = workload_by_name("mpeg2-like").unwrap();

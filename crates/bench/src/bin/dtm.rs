@@ -9,7 +9,7 @@
 use th_workloads::workload_by_name;
 
 fn main() {
-    let cap: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(376.0);
+    let cap = th_bench::arg_or_usage(1, 376.0, "dtm [cap-kelvin] [workload]");
     let workload = std::env::args().nth(2).unwrap_or_else(|| "mpeg2-like".into());
     let w = workload_by_name(&workload).expect("known workload");
     println!("{}", thermal_herding::experiments::dtm::run(&w, cap, 24));

@@ -10,9 +10,9 @@
 use th_stack3d::Unit;
 
 fn main() {
-    let budget: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(u64::MAX);
-    let rows: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(32);
+    const USAGE: &str = "fig10 [instruction-budget] [grid-rows]";
+    let budget = th_bench::arg_or_usage(1, u64::MAX, USAGE);
+    let rows = th_bench::arg_or_usage(2, 32, USAGE);
     let fig10 = thermal_herding::experiments::fig10::run(budget, rows);
     println!("{fig10}");
     println!();

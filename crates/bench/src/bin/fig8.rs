@@ -10,7 +10,6 @@
 //! (after a 20 % warmup); pass a smaller budget for a quicker sweep.
 
 fn main() {
-    let budget: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(u64::MAX);
+    let budget = th_bench::arg_or_usage(1, u64::MAX, "fig8 [instruction-budget]");
     println!("{}", thermal_herding::experiments::fig8::run(budget));
 }

@@ -8,7 +8,6 @@
 //! ```
 
 fn main() {
-    let budget: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(u64::MAX);
+    let budget = th_bench::arg_or_usage(1, u64::MAX, "fig9 [instruction-budget]");
     println!("{}", thermal_herding::experiments::fig9::run(budget));
 }

@@ -37,6 +37,6 @@ pub use dies::{die_fractions, top_die_share, DieFractionTable};
 pub use leakage::{LeakageModel, DEFAULT_DOUBLING_K, DEFAULT_T_REF_K};
 pub use energy::EnergyTable;
 pub use model::{
-    default_activity_source, set_default_activity_source, unit_activity, unit_activity_ledger,
-    ActivitySource, PowerBreakdown, PowerConfig, PowerModel, UnitActivity,
+    unit_activity, unit_activity_ledger, ActivitySource, PowerBreakdown, PowerConfig, PowerModel,
+    UnitActivity,
 };

@@ -1,7 +1,6 @@
 //! The power computation: activity × energy × frequency.
 
 use crate::energy::EnergyTable;
-use std::sync::atomic::{AtomicU8, Ordering};
 use th_sim::SimStats;
 use th_stack3d::{ActivityMatrix, Unit, DIES};
 
@@ -19,36 +18,6 @@ pub enum ActivitySource {
     Ledger,
     /// Reconstruct gating statistically from scalar counters.
     Modeled,
-}
-
-/// Process-wide activity-source default: 0 = unset, 1 = ledger, 2 = modeled.
-static DEFAULT_ACTIVITY: AtomicU8 = AtomicU8::new(0);
-
-/// The activity source newly built [`PowerConfig`]s start with.
-///
-/// Resolution order: the last [`set_default_activity_source`] call, then
-/// the `TH_ACTIVITY` environment variable (`ledger` or `modeled`), then
-/// [`ActivitySource::Ledger`].
-pub fn default_activity_source() -> ActivitySource {
-    match DEFAULT_ACTIVITY.load(Ordering::Relaxed) {
-        1 => ActivitySource::Ledger,
-        2 => ActivitySource::Modeled,
-        _ => match std::env::var("TH_ACTIVITY").as_deref() {
-            Ok("modeled") => ActivitySource::Modeled,
-            _ => ActivitySource::Ledger,
-        },
-    }
-}
-
-/// Overrides (or with `None`, resets to the environment/default) the
-/// activity source used by subsequently constructed [`PowerConfig`]s.
-pub fn set_default_activity_source(source: Option<ActivitySource>) {
-    let v = match source {
-        None => 0,
-        Some(ActivitySource::Ledger) => 1,
-        Some(ActivitySource::Modeled) => 2,
-    };
-    DEFAULT_ACTIVITY.store(v, Ordering::Relaxed);
 }
 
 /// Which physical design the activity is priced against.
@@ -85,7 +54,7 @@ impl PowerConfig {
             chip_clock_power_2d_w: 0.35 * 90.0,
             chip_leakage_w: 0.20 * 90.0,
             clock_3d_factor: 0.5,
-            activity: default_activity_source(),
+            activity: ActivitySource::Ledger,
         }
     }
 

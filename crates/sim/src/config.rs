@@ -1,6 +1,5 @@
 //! Simulator configuration (Table 1 plus the paper's design points).
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use th_width::WidthPolicy;
 
 /// Which core-loop implementation executes the pipeline.
@@ -17,35 +16,11 @@ pub enum CoreEngine {
     Event,
 }
 
-/// Process-wide engine default: 0 = unset, 1 = scan, 2 = event.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The engine newly built configurations start with.
-///
-/// Resolution order: the last [`set_default_engine`] call, then the
-/// `TH_CORE_ENGINE` environment variable (`scan` or `event`), then
-/// [`CoreEngine::Event`].
+/// The engine [`SimConfig::baseline`] (and so every preset built from it)
+/// runs: the event-driven core. The scan oracle is selected only by setting
+/// [`SimConfig::engine`] explicitly.
 pub fn default_engine() -> CoreEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        1 => CoreEngine::Scan,
-        2 => CoreEngine::Event,
-        _ => match std::env::var("TH_CORE_ENGINE").as_deref() {
-            Ok("scan") => CoreEngine::Scan,
-            _ => CoreEngine::Event,
-        },
-    }
-}
-
-/// Overrides (or with `None`, resets to the environment/default) the
-/// engine used by subsequently constructed [`SimConfig`]s. Benchmarks use
-/// this to A/B the two engines within one process.
-pub fn set_default_engine(engine: Option<CoreEngine>) {
-    let v = match engine {
-        None => 0,
-        Some(CoreEngine::Scan) => 1,
-        Some(CoreEngine::Event) => 2,
-    };
-    DEFAULT_ENGINE.store(v, Ordering::Relaxed);
+    CoreEngine::Event
 }
 
 /// Structural core parameters (Table 1).

@@ -4,127 +4,209 @@
 use th_stack3d::ActivityMatrix;
 use th_width::{DieActivity, EncodingStats, PamStats, WidthPredictStats};
 
-/// Counters accumulated over one simulation run.
-///
-/// Width-split counters (`*_low` / `*_full`) record the *architectural*
-/// width of the value handled, which is what determines how many dies
-/// switch in the significance-partitioned datapath. They are recorded
-/// regardless of whether herding is enabled so that the same run can be
-/// priced as a planar or a 3D design; whether gating actually *happens*
-/// is the power model's decision based on the configuration.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct SimStats {
-    // ---- global ----
-    pub cycles: u64,
-    pub committed: u64,
-    pub fetched: u64,
+/// Componentwise accumulation and its inverse: what every [`SimStats`]
+/// field supports, so each field is listed exactly once (in the struct).
+trait Counter {
+    fn merge(&mut self, other: &Self);
+    fn subtract_prefix(&mut self, prefix: &Self, field: &'static str);
+}
 
-    // ---- front end ----
-    pub icache_accesses: u64,
-    pub icache_misses: u64,
-    pub itlb_accesses: u64,
-    pub itlb_misses: u64,
-    pub fetch_stall_cycles: u64,
-    pub ifq_full_stalls: u64,
+impl Counter for u64 {
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
 
-    // ---- branches ----
-    pub cond_branches: u64,
-    pub cond_mispredicts: u64,
-    pub jumps: u64,
-    pub indirect_jumps: u64,
-    pub indirect_mispredicts: u64,
-    pub btb_lookups: u64,
-    pub btb_hits: u64,
-    pub btb_updates: u64,
-    /// Predicted-taken fetches whose BTB target needed the upper 48 bits
-    /// from the lower dies (target memoization miss, §3.7): one-cycle
-    /// front-end stall each.
-    pub btb_full_target_stalls: u64,
-    /// BTB targets serviced from the top die (upper bits reused from the
-    /// branch PC).
-    pub btb_partial_target_hits: u64,
-    pub ras_pushes: u64,
-    pub ras_pops: u64,
-    pub bpred_lookups: u64,
-    pub bpred_updates: u64,
+    fn subtract_prefix(&mut self, prefix: &u64, field: &'static str) {
+        debug_assert!(*self >= *prefix, "{field} underflow");
+        *self -= prefix;
+    }
+}
 
-    // ---- dispatch / rename / rob ----
-    pub dispatched: u64,
-    pub rename_ops: u64,
-    pub rob_writes_low: u64,
-    pub rob_writes_full: u64,
-    pub rob_reads_low: u64,
-    pub rob_reads_full: u64,
-    pub rob_full_stalls: u64,
-    pub rs_full_stalls: u64,
-    pub lsq_full_stalls: u64,
-    /// Dispatch groups stalled one cycle by an unsafe operand-width
-    /// misprediction at register read (§3.1: at most one per group).
-    pub rf_unsafe_group_stalls: u64,
+impl Counter for [u64; 4] {
+    fn merge(&mut self, other: &[u64; 4]) {
+        for (c, o) in self.iter_mut().zip(other) {
+            c.merge(o);
+        }
+    }
 
-    // ---- register file ----
-    pub rf_reads_low: u64,
-    pub rf_reads_full: u64,
-    pub rf_writes_low: u64,
-    pub rf_writes_full: u64,
+    fn subtract_prefix(&mut self, prefix: &[u64; 4], field: &'static str) {
+        for (c, p) in self.iter_mut().zip(prefix) {
+            c.subtract_prefix(p, field);
+        }
+    }
+}
 
-    // ---- scheduler ----
-    pub rs_allocs_per_die: [u64; 4],
-    /// Entry-cycles of residency per die: each cycle, every occupied RS
-    /// entry adds one to its die. This — not the allocation count — is
-    /// what determines where scheduler power burns, since an entry keeps
-    /// its CAM comparators matching for as long as it waits.
-    pub rs_occupancy_cycles_per_die: [u64; 4],
-    /// Tag broadcasts issued (each wakeup event counts once).
-    pub tag_broadcasts: u64,
-    /// Per-die broadcasts actually driven (unoccupied dies are gated,
-    /// §3.4).
-    pub tag_broadcast_die_driven: [u64; 4],
-    pub issued: u64,
+/// Nested counter blocks carry their own `merge`/`subtract_prefix`.
+macro_rules! nested_counters {
+    ($($t:ty),* $(,)?) => { $(
+        impl Counter for $t {
+            fn merge(&mut self, other: &$t) {
+                <$t>::merge(self, other);
+            }
 
-    // ---- execution ----
-    pub int_ops_low: u64,
-    pub int_ops_full: u64,
-    pub fp_ops: u64,
-    pub bypass_low: u64,
-    pub bypass_full: u64,
-    /// One-cycle stalls to re-enable the upper 48 bits of an arithmetic
-    /// unit after an unsafe input-width misprediction (§3.2).
-    pub exec_reenable_stalls: u64,
-    /// Re-executions forced by output-width mispredictions (§3.2).
-    pub output_width_replays: u64,
+            fn subtract_prefix(&mut self, prefix: &$t, _field: &'static str) {
+                <$t>::subtract_prefix(self, prefix);
+            }
+        }
+    )* };
+}
 
-    // ---- memory ----
-    pub loads: u64,
-    pub stores: u64,
-    pub store_forwards: u64,
-    pub dcache_accesses: u64,
-    pub dcache_misses: u64,
-    pub dcache_writes_low: u64,
-    pub dcache_writes_full: u64,
-    /// One-cycle cache-pipeline stalls on unsafe load-width
-    /// mispredictions (§3.6).
-    pub dcache_width_stalls: u64,
-    pub dtlb_accesses: u64,
-    pub dtlb_misses: u64,
-    pub l2_accesses: u64,
-    pub l2_misses: u64,
-    pub dram_accesses: u64,
-    /// L1⇄L2 spill/fill transfers — always full-width on all dies (§3.6).
-    pub spill_fill_transfers: u64,
+nested_counters!(WidthPredictStats, PamStats, EncodingStats, ActivityMatrix);
 
-    // ---- width machinery ----
-    pub width_pred: WidthPredictStats,
-    pub pam: PamStats,
-    pub dcache_encodings: EncodingStats,
+/// Declares [`SimStats`] and derives `merge`/`subtract_prefix` from its
+/// field list.
+macro_rules! sim_stats {
+    (
+        $(#[$meta:meta])*
+        pub struct SimStats { $($(#[$fmeta:meta])* pub $f:ident: $t:ty,)* }
+    ) => {
+        $(#[$meta])*
+        pub struct SimStats { $($(#[$fmeta])* pub $f: $t,)* }
 
-    /// Event-sourced per-(unit, die) access ledger, recorded at every
-    /// pipeline access site (see `th_stack3d::ActivityMatrix` for the
-    /// die-touch semantics). This is the measured counterpart of the
-    /// scalar width-split counters above: the power model prices watts
-    /// directly from it on the default path.
-    pub activity: ActivityMatrix,
+        impl SimStats {
+            /// Subtracts a prefix snapshot from this stats block — used to
+            /// discard a warmup period (caches and predictors stay warm;
+            /// only the measurement window is reported).
+            ///
+            /// # Panics
+            ///
+            /// Debug-asserts that `prefix` is componentwise ≤ `self`.
+            pub fn subtract_prefix(&mut self, prefix: &SimStats) {
+                $( Counter::subtract_prefix(&mut self.$f, &prefix.$f, stringify!($f)); )*
+            }
+
+            /// Merges another run's counters into this one (used to
+            /// aggregate the two cores of the dual-core experiments).
+            pub fn merge(&mut self, other: &SimStats) {
+                $( Counter::merge(&mut self.$f, &other.$f); )*
+            }
+        }
+    };
+}
+
+sim_stats! {
+    /// Counters accumulated over one simulation run.
+    ///
+    /// Width-split counters (`*_low` / `*_full`) record the *architectural*
+    /// width of the value handled, which is what determines how many dies
+    /// switch in the significance-partitioned datapath. They are recorded
+    /// regardless of whether herding is enabled so that the same run can be
+    /// priced as a planar or a 3D design; whether gating actually *happens*
+    /// is the power model's decision based on the configuration.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    #[allow(missing_docs)]
+    pub struct SimStats {
+        // ---- global ----
+        pub cycles: u64,
+        pub committed: u64,
+        pub fetched: u64,
+
+        // ---- front end ----
+        pub icache_accesses: u64,
+        pub icache_misses: u64,
+        pub itlb_accesses: u64,
+        pub itlb_misses: u64,
+        pub fetch_stall_cycles: u64,
+        pub ifq_full_stalls: u64,
+
+        // ---- branches ----
+        pub cond_branches: u64,
+        pub cond_mispredicts: u64,
+        pub jumps: u64,
+        pub indirect_jumps: u64,
+        pub indirect_mispredicts: u64,
+        pub btb_lookups: u64,
+        pub btb_hits: u64,
+        pub btb_updates: u64,
+        /// Predicted-taken fetches whose BTB target needed the upper 48 bits
+        /// from the lower dies (target memoization miss, §3.7): one-cycle
+        /// front-end stall each.
+        pub btb_full_target_stalls: u64,
+        /// BTB targets serviced from the top die (upper bits reused from the
+        /// branch PC).
+        pub btb_partial_target_hits: u64,
+        pub ras_pushes: u64,
+        pub ras_pops: u64,
+        pub bpred_lookups: u64,
+        pub bpred_updates: u64,
+
+        // ---- dispatch / rename / rob ----
+        pub dispatched: u64,
+        pub rename_ops: u64,
+        pub rob_writes_low: u64,
+        pub rob_writes_full: u64,
+        pub rob_reads_low: u64,
+        pub rob_reads_full: u64,
+        pub rob_full_stalls: u64,
+        pub rs_full_stalls: u64,
+        pub lsq_full_stalls: u64,
+        /// Dispatch groups stalled one cycle by an unsafe operand-width
+        /// misprediction at register read (§3.1: at most one per group).
+        pub rf_unsafe_group_stalls: u64,
+
+        // ---- register file ----
+        pub rf_reads_low: u64,
+        pub rf_reads_full: u64,
+        pub rf_writes_low: u64,
+        pub rf_writes_full: u64,
+
+        // ---- scheduler ----
+        pub rs_allocs_per_die: [u64; 4],
+        /// Entry-cycles of residency per die: each cycle, every occupied RS
+        /// entry adds one to its die. This — not the allocation count — is
+        /// what determines where scheduler power burns, since an entry keeps
+        /// its CAM comparators matching for as long as it waits.
+        pub rs_occupancy_cycles_per_die: [u64; 4],
+        /// Tag broadcasts issued (each wakeup event counts once).
+        pub tag_broadcasts: u64,
+        /// Per-die broadcasts actually driven (unoccupied dies are gated,
+        /// §3.4).
+        pub tag_broadcast_die_driven: [u64; 4],
+        pub issued: u64,
+
+        // ---- execution ----
+        pub int_ops_low: u64,
+        pub int_ops_full: u64,
+        pub fp_ops: u64,
+        pub bypass_low: u64,
+        pub bypass_full: u64,
+        /// One-cycle stalls to re-enable the upper 48 bits of an arithmetic
+        /// unit after an unsafe input-width misprediction (§3.2).
+        pub exec_reenable_stalls: u64,
+        /// Re-executions forced by output-width mispredictions (§3.2).
+        pub output_width_replays: u64,
+
+        // ---- memory ----
+        pub loads: u64,
+        pub stores: u64,
+        pub store_forwards: u64,
+        pub dcache_accesses: u64,
+        pub dcache_misses: u64,
+        pub dcache_writes_low: u64,
+        pub dcache_writes_full: u64,
+        /// One-cycle cache-pipeline stalls on unsafe load-width
+        /// mispredictions (§3.6).
+        pub dcache_width_stalls: u64,
+        pub dtlb_accesses: u64,
+        pub dtlb_misses: u64,
+        pub l2_accesses: u64,
+        pub l2_misses: u64,
+        pub dram_accesses: u64,
+        /// L1⇄L2 spill/fill transfers — always full-width on all dies (§3.6).
+        pub spill_fill_transfers: u64,
+
+        // ---- width machinery ----
+        pub width_pred: WidthPredictStats,
+        pub pam: PamStats,
+        pub dcache_encodings: EncodingStats,
+
+        /// Event-sourced per-(unit, die) access ledger, recorded at every
+        /// pipeline access site (see `th_stack3d::ActivityMatrix` for the
+        /// die-touch semantics). This is the measured counterpart of the
+        /// scalar width-split counters above: the power model prices watts
+        /// directly from it on the default path.
+        pub activity: ActivityMatrix,
+    }
 }
 
 impl SimStats {
@@ -244,86 +326,6 @@ impl SimStats {
         let mut d = self.clone();
         d.subtract_prefix(prev);
         d
-    }
-
-    /// Subtracts a prefix snapshot from this stats block — used to discard
-    /// a warmup period (caches and predictors stay warm; only the
-    /// measurement window is reported).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `prefix` is componentwise ≤ `self`.
-    pub fn subtract_prefix(&mut self, prefix: &SimStats) {
-        macro_rules! sub {
-            ($($f:ident),* $(,)?) => { $(
-                debug_assert!(self.$f >= prefix.$f, concat!(stringify!($f), " underflow"));
-                self.$f -= prefix.$f;
-            )* };
-        }
-        sub!(
-            cycles, committed, fetched, icache_accesses, icache_misses, itlb_accesses,
-            itlb_misses, fetch_stall_cycles, ifq_full_stalls, cond_branches, cond_mispredicts,
-            jumps, indirect_jumps, indirect_mispredicts, btb_lookups, btb_hits, btb_updates,
-            btb_full_target_stalls, btb_partial_target_hits, ras_pushes, ras_pops,
-            bpred_lookups, bpred_updates, dispatched, rename_ops, rob_writes_low,
-            rob_writes_full, rob_reads_low, rob_reads_full, rob_full_stalls, rs_full_stalls,
-            lsq_full_stalls, rf_unsafe_group_stalls, rf_reads_low, rf_reads_full,
-            rf_writes_low, rf_writes_full, tag_broadcasts, issued, int_ops_low, int_ops_full,
-            fp_ops, bypass_low, bypass_full, exec_reenable_stalls, output_width_replays,
-            loads, stores, store_forwards, dcache_accesses, dcache_misses, dcache_writes_low,
-            dcache_writes_full, dcache_width_stalls, dtlb_accesses, dtlb_misses, l2_accesses,
-            l2_misses, dram_accesses, spill_fill_transfers,
-        );
-        for i in 0..4 {
-            self.rs_allocs_per_die[i] -= prefix.rs_allocs_per_die[i];
-            self.rs_occupancy_cycles_per_die[i] -= prefix.rs_occupancy_cycles_per_die[i];
-            self.tag_broadcast_die_driven[i] -= prefix.tag_broadcast_die_driven[i];
-        }
-        self.width_pred.predictions -= prefix.width_pred.predictions;
-        self.width_pred.correct_low -= prefix.width_pred.correct_low;
-        self.width_pred.correct_full -= prefix.width_pred.correct_full;
-        self.width_pred.unsafe_mispredictions -= prefix.width_pred.unsafe_mispredictions;
-        self.width_pred.safe_mispredictions -= prefix.width_pred.safe_mispredictions;
-        self.pam.matches -= prefix.pam.matches;
-        self.pam.misses -= prefix.pam.misses;
-        for i in 0..4 {
-            self.dcache_encodings.counts[i] -= prefix.dcache_encodings.counts[i];
-        }
-        self.activity.subtract_prefix(&prefix.activity);
-    }
-
-    /// Merges another run's counters into this one (used to aggregate the
-    /// two cores of the dual-core experiments).
-    pub fn merge(&mut self, other: &SimStats) {
-        macro_rules! acc {
-            ($($f:ident),* $(,)?) => { $( self.$f += other.$f; )* };
-        }
-        acc!(
-            cycles, committed, fetched, icache_accesses, icache_misses, itlb_accesses,
-            itlb_misses, fetch_stall_cycles, ifq_full_stalls, cond_branches, cond_mispredicts,
-            jumps, indirect_jumps, indirect_mispredicts, btb_lookups, btb_hits, btb_updates,
-            btb_full_target_stalls, btb_partial_target_hits, ras_pushes, ras_pops,
-            bpred_lookups, bpred_updates, dispatched, rename_ops, rob_writes_low,
-            rob_writes_full, rob_reads_low, rob_reads_full, rob_full_stalls, rs_full_stalls,
-            lsq_full_stalls, rf_unsafe_group_stalls, rf_reads_low, rf_reads_full,
-            rf_writes_low, rf_writes_full, tag_broadcasts, issued, int_ops_low, int_ops_full,
-            fp_ops, bypass_low, bypass_full, exec_reenable_stalls, output_width_replays,
-            loads, stores, store_forwards, dcache_accesses, dcache_misses, dcache_writes_low,
-            dcache_writes_full, dcache_width_stalls, dtlb_accesses, dtlb_misses, l2_accesses,
-            l2_misses, dram_accesses, spill_fill_transfers,
-        );
-        for i in 0..4 {
-            self.rs_allocs_per_die[i] += other.rs_allocs_per_die[i];
-            self.rs_occupancy_cycles_per_die[i] += other.rs_occupancy_cycles_per_die[i];
-            self.tag_broadcast_die_driven[i] += other.tag_broadcast_die_driven[i];
-        }
-        self.width_pred.merge(&other.width_pred);
-        self.pam.matches += other.pam.matches;
-        self.pam.misses += other.pam.misses;
-        for i in 0..4 {
-            self.dcache_encodings.counts[i] += other.dcache_encodings.counts[i];
-        }
-        self.activity.merge(&other.activity);
     }
 }
 

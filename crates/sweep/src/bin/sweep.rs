@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p th-sweep --bin sweep -- <preset> [options]
 //!
-//!   <preset>            fig8 | fig9 | fig10 | dtm | dtm-smoke | selftest
+//!   <preset>            fig8 | fig9 | fig10 | dtm | selftest
 //!   --dir <path>        run directory (default: sweeps/<preset>)
 //!   --budget <insts>    per-core instruction budget (default: 60000)
 //!   --rows <n>          fig10 thermal grid resolution (default: 16)

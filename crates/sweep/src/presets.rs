@@ -98,18 +98,6 @@ pub fn dtm() -> SweepSpec {
     SweepSpec { name: "dtm".into(), shards }
 }
 
-/// The single-shard co-simulation smoke (the benchmark report's DTM
-/// timing leg): the unherded 3D stack under the DVFS ladder.
-pub fn dtm_smoke() -> SweepSpec {
-    SweepSpec {
-        name: "dtm-smoke".into(),
-        shards: vec![ShardSpec {
-            id: "dtm/3D-noTH/dvfs".into(),
-            task: dtm_task(Variant::ThreeDNoTh, PolicyKind::Dvfs),
-        }],
-    }
-}
-
 fn dtm_task(variant: Variant, policy: PolicyKind) -> ShardTask {
     ShardTask::CosimRun {
         workload: "mpeg2-like".into(),
@@ -121,31 +109,6 @@ fn dtm_task(variant: Variant, policy: PolicyKind) -> ShardTask {
         slice_cycles: 20_000,
         steps: 30,
     }
-}
-
-/// The Figure 10 worst-case row reduction, migrated from the
-/// experiment's hand-rolled loop onto sweep records: for each design
-/// point, the candidate with the highest solved peak (first strict
-/// maximum in candidate order, as the sequential loop picks it).
-/// Degraded shards simply don't compete. Returns
-/// `(variant label, workload, peak kelvin)` rows in preset order.
-pub fn fig10_worst_rows(outcome: &crate::SweepOutcome) -> Vec<(String, String, f64)> {
-    let mut rows: Vec<(String, String, f64)> = Vec::new();
-    for r in &outcome.records {
-        let Some(peak_k) = r.metric("peak_k") else { continue };
-        let mut parts = r.id.splitn(3, '/');
-        let (Some("fig10"), Some(workload), Some(label)) =
-            (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        match rows.iter_mut().find(|(l, _, _)| l == label) {
-            Some(row) if peak_k > row.2 => *row = (label.into(), workload.into(), peak_k),
-            Some(_) => {}
-            None => rows.push((label.into(), workload.into(), peak_k)),
-        }
-    }
-    rows
 }
 
 /// Eight cheap deterministic shards for exercising the orchestrator
@@ -164,7 +127,7 @@ pub fn selftest() -> SweepSpec {
 
 /// All preset names, for help text.
 pub fn names() -> &'static [&'static str] {
-    &["fig8", "fig9", "fig10", "dtm", "dtm-smoke", "selftest"]
+    &["fig8", "fig9", "fig10", "dtm", "selftest"]
 }
 
 /// Expands a preset by name. `budget` and `rows` apply to the presets
@@ -175,7 +138,6 @@ pub fn by_name(name: &str, budget: u64, rows: usize) -> Option<SweepSpec> {
         "fig9" => Some(fig9(budget)),
         "fig10" => Some(fig10(budget, rows)),
         "dtm" => Some(dtm()),
-        "dtm-smoke" => Some(dtm_smoke()),
         "selftest" => Some(selftest()),
         _ => None,
     }
@@ -206,47 +168,6 @@ mod tests {
         assert_eq!(fig9(1000).shards.len(), 3 * n);
         assert_eq!(fig10(1000, 8).shards.len(), 3 * worst_case_candidates().len());
         assert_eq!(dtm().shards.len(), 6);
-        assert_eq!(dtm_smoke().shards.len(), 1);
-    }
-
-    #[test]
-    fn fig10_row_reduction_picks_first_strict_maximum_per_variant() {
-        let record = |id: &str, peak: Option<f64>| crate::ShardRecord {
-            id: id.into(),
-            status: if peak.is_some() {
-                crate::ShardStatus::Done
-            } else {
-                crate::ShardStatus::Degraded
-            },
-            attempts: 1,
-            wall_s: 0.0,
-            error: None,
-            metrics: peak.map(|p| ("peak_k".into(), p)).into_iter().collect(),
-            timings: Vec::new(),
-            resumed: false,
-        };
-        let outcome = crate::SweepOutcome {
-            sweep: "fig10".into(),
-            dir: std::path::PathBuf::new(),
-            records: vec![
-                record("fig10/mpeg2-like/Base", Some(360.0)),
-                record("fig10/yacr2-like/Base", Some(360.0)), // tie: first wins
-                record("fig10/gzip-like/Base", Some(355.0)),
-                record("fig10/mpeg2-like/3D", Some(370.0)),
-                record("fig10/yacr2-like/3D", Some(372.0)),
-                record("fig10/gzip-like/3D", None), // degraded: out of the race
-            ],
-            resumed: 0,
-            executed: 6,
-        };
-        let rows = fig10_worst_rows(&outcome);
-        assert_eq!(
-            rows,
-            vec![
-                ("Base".to_string(), "mpeg2-like".to_string(), 360.0),
-                ("3D".to_string(), "yacr2-like".to_string(), 372.0),
-            ]
-        );
     }
 
     #[test]

@@ -133,6 +133,21 @@ impl EncodingStats {
         }
         (total - self.counts[UpperEncoding::Explicit.code() as usize]) as f64 / total as f64
     }
+
+    /// Merges another stats block into this one.
+    pub fn merge(&mut self, other: &EncodingStats) {
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c += o;
+        }
+    }
+
+    /// Subtracts an earlier snapshot of the same counters (the inverse of
+    /// [`EncodingStats::merge`]).
+    pub fn subtract_prefix(&mut self, prefix: &EncodingStats) {
+        for (c, p) in self.counts.iter_mut().zip(prefix.counts) {
+            *c -= p;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -55,6 +55,19 @@ impl PamStats {
             self.matches as f64 / t as f64
         }
     }
+
+    /// Merges another stats block into this one.
+    pub fn merge(&mut self, other: &PamStats) {
+        self.matches += other.matches;
+        self.misses += other.misses;
+    }
+
+    /// Subtracts an earlier snapshot of the same counters (the inverse of
+    /// [`PamStats::merge`]).
+    pub fn subtract_prefix(&mut self, prefix: &PamStats) {
+        self.matches -= prefix.matches;
+        self.misses -= prefix.misses;
+    }
 }
 
 impl PartialAddressMemoizer {

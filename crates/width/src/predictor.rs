@@ -57,6 +57,16 @@ impl WidthPredictStats {
         self.unsafe_mispredictions += other.unsafe_mispredictions;
         self.safe_mispredictions += other.safe_mispredictions;
     }
+
+    /// Subtracts an earlier snapshot of the same counters (the inverse of
+    /// [`WidthPredictStats::merge`]).
+    pub fn subtract_prefix(&mut self, prefix: &WidthPredictStats) {
+        self.predictions -= prefix.predictions;
+        self.correct_low -= prefix.correct_low;
+        self.correct_full -= prefix.correct_full;
+        self.unsafe_mispredictions -= prefix.unsafe_mispredictions;
+        self.safe_mispredictions -= prefix.safe_mispredictions;
+    }
 }
 
 /// PC-indexed two-bit saturating-counter width predictor.

@@ -1,4 +1,5 @@
-//! Ledger-vs-modeled pricing equivalence (the `TH_ACTIVITY` contract).
+//! Ledger-vs-modeled pricing equivalence (the `PowerConfig::activity`
+//! contract).
 //!
 //! The measured activity ledger replaces the statistical reconstruction
 //! on the default pricing path; the reconstruction survives as a
@@ -14,10 +15,10 @@
 //! measured worst case without letting a real regression through.
 
 use thermal_herding::{run_chip, Variant};
-use th_power::{ActivitySource, PowerModel};
+use th_power::{ActivitySource, DieFractionTable, PowerModel};
 use th_sim::SimStats;
-use th_stack3d::ActivityMatrix;
-use th_workloads::all_workloads;
+use th_stack3d::{ActivityMatrix, Unit};
+use th_workloads::{all_workloads, workload_by_name};
 
 /// Documented tolerance between ledger-priced and modeled dynamic power.
 const DYNAMIC_W_TOLERANCE: f64 = 0.08;
@@ -51,6 +52,50 @@ fn ledger_and_modeled_watts_agree_on_experiment_workloads() {
             100.0 * rel
         );
     }
+}
+
+#[test]
+fn measured_herding_keeps_the_register_file_on_the_top_die() {
+    // The peak-power workload under the full 3D design at the sweep
+    // presets' default budget. If the measured (ledger) top-die register
+    // file share drops below what the modeled reconstruction claims,
+    // either the ledger lost recording sites or herding stopped steering
+    // accesses to the top die.
+    let w = workload_by_name("mpeg2-like").expect("known workload");
+    let run = run_chip(Variant::ThreeD, &w, 60_000).expect("workload runs");
+    let model = PowerModel::new();
+    let mut ledger_cfg = run.variant.power_config();
+    ledger_cfg.activity = ActivitySource::Ledger;
+    let mut modeled_cfg = ledger_cfg;
+    modeled_cfg.activity = ActivitySource::Modeled;
+
+    let ledger_w = model.compute(&run.chip_stats, run.cycles(), &ledger_cfg).dynamic_w();
+    let modeled_w = model.compute(&run.chip_stats, run.cycles(), &modeled_cfg).dynamic_w();
+    let rel = (ledger_w - modeled_w).abs() / modeled_w;
+    assert!(
+        rel < DYNAMIC_W_TOLERANCE,
+        "dynamic {ledger_w:.2} W ledger vs {modeled_w:.2} W modeled ({:.1}% apart)",
+        100.0 * rel
+    );
+
+    let measured = DieFractionTable::new(&run.chip_stats, model.energies(), &ledger_cfg);
+    let modeled = DieFractionTable::new(&run.chip_stats, model.energies(), &modeled_cfg);
+    for &unit in Unit::all().iter().filter(|u| u.is_width_partitioned()) {
+        for (source, table) in [("measured", &measured), ("modeled", &modeled)] {
+            let top = table.fractions(unit)[0];
+            let unit = unit.label();
+            assert!((0.0..=1.0).contains(&top), "{unit} {source} top-die {top} out of [0,1]");
+        }
+    }
+    let rf_measured = measured.fractions(Unit::RegFile)[0];
+    let rf_modeled = modeled.fractions(Unit::RegFile)[0];
+    assert!(
+        rf_measured + 0.005 >= rf_modeled,
+        "RF top-die {:.1}% measured fell below {:.1}% modeled",
+        100.0 * rf_measured,
+        100.0 * rf_modeled
+    );
+    assert!(rf_measured > 0.4, "RF top-die concentration lost: {:.1}%", 100.0 * rf_measured);
 }
 
 #[test]

@@ -99,3 +99,22 @@ fn power_breakdown_sums_to_total() {
         }
     }
 }
+
+#[test]
+fn stats_merge_and_delta_invert_on_a_real_run() {
+    // A herded 3D run exercises every counter block: scalar counters,
+    // per-die arrays, the width predictor, PAM, the D-cache encodings and
+    // the activity ledger. `merge` and `subtract_prefix` must cover every
+    // field, so a run minus itself is empty and (s ⊔ s) − s is s again.
+    let w = workload_by_name("mpeg2-like").unwrap();
+    let s = run_chip(Variant::ThreeD, &w, 20_000).unwrap().core_stats;
+    assert!(s.cycles > 0 && s.rf_reads_low > 0 && s.dcache_accesses > 0);
+    assert!(s.rs_occupancy_cycles_per_die.iter().all(|&c| c > 0));
+    assert!(s.width_pred.predictions > 0 && s.pam.total() > 0);
+    assert!(s.dcache_encodings.total() > 0 && !s.activity.is_empty());
+
+    assert_eq!(s.delta(&s), th_sim::SimStats::default());
+    let mut doubled = s.clone();
+    doubled.merge(&s);
+    assert_eq!(doubled.delta(&s), s);
+}
