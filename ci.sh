@@ -53,8 +53,9 @@ fi
 rm -rf "$(dirname "$sweep_dir")"
 echo "sweep gate: fault-injected selftest degraded, resumed, and recovered"
 
-# Bench smoke: the thermal kernel comparison, just to prove it runs end
-# to end.
+# Bench smoke: the thermal kernel comparison and the simulator /
+# interpreter throughput benches, just to prove they run end to end.
 TH_BENCH_FAST=1 cargo bench -p th-bench --bench thermal_sweep
+TH_BENCH_FAST=1 cargo bench -p th-bench --bench pipeline
 
 echo "ci.sh: all checks passed"

@@ -1,7 +1,8 @@
 //! Whole-pipeline benchmarks: simulator throughput (simulated
 //! instructions per wall-clock second) for representative workload
-//! classes on the planar and 3D configurations, plus assembly and
-//! functional-interpreter throughput.
+//! classes on the planar and 3D configurations, plus functional-interpreter
+//! throughput. Workloads come from the once-per-process registry, so
+//! neither group times kernel construction.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use th_isa::Machine;
@@ -21,7 +22,7 @@ fn simulator_throughput(c: &mut Criterion) {
         {
             g.bench_with_input(
                 BenchmarkId::new(cfg_name, name),
-                &w,
+                w,
                 |b, w| {
                     b.iter(|| {
                         black_box(
@@ -49,14 +50,5 @@ fn functional_interpreter(c: &mut Criterion) {
     g.finish();
 }
 
-fn workload_construction(c: &mut Criterion) {
-    let mut g = c.benchmark_group("assembler");
-    g.sample_size(20);
-    g.bench_function("build_susan_like", |b| {
-        b.iter(|| black_box(workload_by_name("susan-like").expect("builds")))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, simulator_throughput, functional_interpreter, workload_construction);
+criterion_group!(benches, simulator_throughput, functional_interpreter);
 criterion_main!(benches);

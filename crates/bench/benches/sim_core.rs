@@ -27,7 +27,7 @@ fn core_engines(c: &mut Criterion) {
                 cfg.engine = engine;
                 g.bench_with_input(
                     BenchmarkId::new(format!("{engine_name}/{cfg_name}"), name),
-                    &w,
+                    w,
                     |b, w| {
                         b.iter(|| {
                             black_box(

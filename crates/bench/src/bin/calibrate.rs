@@ -11,9 +11,9 @@ fn main() {
 
     println!("== power: mpeg2-like dual-core ==");
     let mpeg2 = workload_by_name("mpeg2-like").unwrap();
-    let base = run_chip(Variant::Base, &mpeg2, budget).unwrap();
-    let noth = run_chip(Variant::ThreeDNoTh, &mpeg2, budget).unwrap();
-    let th = run_chip(Variant::ThreeD, &mpeg2, budget).unwrap();
+    let base = run_chip(Variant::Base, mpeg2, budget).unwrap();
+    let noth = run_chip(Variant::ThreeDNoTh, mpeg2, budget).unwrap();
+    let th = run_chip(Variant::ThreeD, mpeg2, budget).unwrap();
     println!(
         "Base   total {:7.2} W (dyn {:6.2} clk {:5.2} leak {:5.2})  [paper 90.0]",
         base.power.total_w(),
@@ -83,8 +83,8 @@ fn speedups(budget: u64) {
     let mut sum = 0.0;
     let mut n = 0;
     for w in all_workloads() {
-        let b = run_chip(Variant::Base, &w, budget).unwrap();
-        let d = run_chip(Variant::ThreeD, &w, budget).unwrap();
+        let b = run_chip(Variant::Base, w, budget).unwrap();
+        let d = run_chip(Variant::ThreeD, w, budget).unwrap();
         let s = d.ipns() / b.ipns();
         sum += s;
         n += 1;

@@ -12,5 +12,5 @@ fn main() {
     let cap = th_bench::arg_or_usage(1, 376.0, "dtm [cap-kelvin] [workload]");
     let workload = std::env::args().nth(2).unwrap_or_else(|| "mpeg2-like".into());
     let w = workload_by_name(&workload).expect("known workload");
-    println!("{}", thermal_herding::experiments::dtm::run(&w, cap, 24));
+    println!("{}", thermal_herding::experiments::dtm::run(w, cap, 24));
 }

@@ -241,8 +241,8 @@ mod tests {
         let w = workload_by_name("mpeg2-like").unwrap();
         // Cap between the herded ceiling and the unherded one: only the
         // unherded design must throttle.
-        let noth = test_trace(Variant::ThreeDNoTh, &w, 376.0, 40);
-        let th = test_trace(Variant::ThreeD, &w, 376.0, 40);
+        let noth = test_trace(Variant::ThreeDNoTh, w, 376.0, 40);
+        let th = test_trace(Variant::ThreeD, w, 376.0, 40);
         assert!(noth.throttled_fraction() > 0.3, "noTH never throttled");
         assert!(th.throttled_fraction() < 0.05, "TH throttled {:.2}", th.throttled_fraction());
         assert!(th.delivered_ginst() > noth.delivered_ginst());
@@ -255,7 +255,7 @@ mod tests {
     fn loose_cap_throttles_nobody() {
         let w = workload_by_name("gzip-like").unwrap();
         for variant in [Variant::ThreeDNoTh, Variant::ThreeD] {
-            let t = test_trace(variant, &w, 420.0, 25);
+            let t = test_trace(variant, w, 420.0, 25);
             assert_eq!(t.throttled_fraction(), 0.0, "{} throttled", t.variant);
             assert!((t.mean_clock_ghz() - t.nominal_ghz()).abs() < 1e-9);
         }
@@ -269,8 +269,8 @@ mod tests {
         // therefore never end up hotter than the open-loop ceiling.
         let w = workload_by_name("mpeg2-like").unwrap();
         for variant in [Variant::ThreeDNoTh, Variant::ThreeD] {
-            let ceiling = open_loop_ceiling_k(variant, &w, 16);
-            let trace = test_trace(variant, &w, 376.0, 40);
+            let ceiling = open_loop_ceiling_k(variant, w, 16);
+            let trace = test_trace(variant, w, 376.0, 40);
             assert!(
                 trace.max_peak_k() <= ceiling + 1.0,
                 "{}: closed loop {:.1} K above open-loop ceiling {:.1} K",
@@ -291,7 +291,7 @@ mod tests {
         // the warm phase (cheap to simulate — the event engine skips the
         // DRAM-stall idle cycles).
         let w = workload_by_name("mcf-like").unwrap();
-        let trace = run_variant(Variant::ThreeDNoTh, &w, 376.0, 16);
+        let trace = run_variant(Variant::ThreeDNoTh, w, 376.0, 16);
         assert!(
             trace.max_peak_k() < 376.0 + 3.0,
             "cap violated: {:.1} K",

@@ -89,7 +89,7 @@ impl Fig10 {
 /// summarised by its extremes in the paper; we search the hottest
 /// candidates of each behavioural class (peak-power media, mixed-width
 /// memory-bound pointer, compute-bound integer).
-pub fn worst_case_candidates() -> Vec<Workload> {
+pub fn worst_case_candidates() -> Vec<&'static Workload> {
     ["mpeg2-like", "susan-like", "yacr2-like", "crafty-like", "gzip-like"]
         .iter()
         .map(|n| workload_by_name(n).expect("candidate exists"))
@@ -116,7 +116,7 @@ pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10
         .flat_map(|vi| (0..candidates.len()).map(move |ci| (vi, ci)))
         .collect();
     let analyses = pool.map(&worst_jobs, |&(vi, ci)| {
-        let run = run_chip(variants[vi], &candidates[ci], max_insts).expect("candidate runs");
+        let run = run_chip(variants[vi], candidates[ci], max_insts).expect("candidate runs");
         thermal_analysis(&run, rows).expect("thermal solves")
     });
     let mut worst = Vec::new();
@@ -137,7 +137,7 @@ pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10
     let common = worst[0].workload;
     let common_w = workload_by_name(common).expect("common workload");
     let same_app = pool.map(&variants, |&variant| {
-        let run = run_chip(variant, &common_w, max_insts).expect("runs");
+        let run = run_chip(variant, common_w, max_insts).expect("runs");
         thermal_analysis(&run, rows).expect("solves")
     });
 
@@ -149,7 +149,7 @@ pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10
     let iso = {
         let mut runs = pool
             .map(&[Variant::Base, Variant::ThreeDNoTh], |&v| {
-                run_chip(v, &common_w, max_insts).expect("runs")
+                run_chip(v, common_w, max_insts).expect("runs")
             })
             .into_iter();
         let base = runs.next().expect("base run");
@@ -161,7 +161,7 @@ pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10
 
     // §5.3 ROB width ratios under the full 3D design, aggregated over
     // every workload.
-    let rob_runs = pool.map(&all_workloads(), |w| {
+    let rob_runs = pool.map(all_workloads(), |w| {
         run_chip(Variant::ThreeD, w, max_insts).expect("runs")
     });
     let mut reads = (0u64, 0u64);

@@ -98,8 +98,8 @@ pub fn run_with_pool(max_insts: u64, pool: &th_exec::Pool) -> Fig9 {
     let bar_variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
 
     let mut jobs: Vec<(Variant, &th_workloads::Workload)> =
-        bar_variants.iter().map(|&v| (v, &mpeg2)).collect();
-    for w in &workloads {
+        bar_variants.iter().map(|&v| (v, mpeg2)).collect();
+    for w in workloads {
         jobs.push((Variant::Base, w));
         jobs.push((Variant::ThreeD, w));
     }

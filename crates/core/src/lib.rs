@@ -21,8 +21,8 @@
 //! use th_workloads::workload_by_name;
 //!
 //! let w = workload_by_name("mpeg2-like").unwrap();
-//! let base = run_chip(Variant::Base, &w, 100_000).unwrap();
-//! let three_d = run_chip(Variant::ThreeD, &w, 100_000).unwrap();
+//! let base = run_chip(Variant::Base, w, 100_000).unwrap();
+//! let three_d = run_chip(Variant::ThreeD, w, 100_000).unwrap();
 //! println!("speedup: {:.2}x", three_d.ipns() / base.ipns());
 //! println!("power:   {:.1} W -> {:.1} W",
 //!          base.power.total_w(), three_d.power.total_w());

@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn chip_doubles_core_activity() {
         let w = workload_by_name("gzip-like").unwrap();
-        let r = run_chip(Variant::Base, &w, 30_000).unwrap();
+        let r = run_chip(Variant::Base, w, 30_000).unwrap();
         assert_eq!(r.chip_stats.committed, 2 * r.core_stats.committed);
         assert_eq!(r.cycles(), r.core_stats.cycles);
         assert!(r.power.total_w() > 0.0);
@@ -114,8 +114,8 @@ mod tests {
     #[test]
     fn three_d_is_faster_and_cooler_on_compute_code() {
         let w = workload_by_name("mpeg2-like").unwrap();
-        let base = run_chip(Variant::Base, &w, 60_000).unwrap();
-        let three_d = run_chip(Variant::ThreeD, &w, 60_000).unwrap();
+        let base = run_chip(Variant::Base, w, 60_000).unwrap();
+        let three_d = run_chip(Variant::ThreeD, w, 60_000).unwrap();
         assert!(three_d.ipns() > base.ipns() * 1.2, "speedup {:.2}", three_d.ipns() / base.ipns());
         assert!(three_d.power.total_w() < base.power.total_w());
     }

@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn transient_heats_monotonically_toward_steady_state() {
         let w = workload_by_name("gzip-like").unwrap();
-        let r = run_chip(Variant::ThreeD, &w, 30_000).unwrap();
+        let r = run_chip(Variant::ThreeD, w, 30_000).unwrap();
         let trace = transient_heatup(&r, 12, 0.05, 60).unwrap();
         for pair in trace.windows(2) {
             assert!(pair[1].1 >= pair[0].1 - 1e-9, "peak dropped: {pair:?}");
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn planar_analysis_solves_and_heats_up() {
         let w = workload_by_name("mpeg2-like").unwrap();
-        let r = run_chip(Variant::Base, &w, 40_000).unwrap();
+        let r = run_chip(Variant::Base, w, 40_000).unwrap();
         let t = thermal_analysis(&r, 24).unwrap();
         assert!(t.peak_k() > th_thermal::AMBIENT_K + 2.0, "peak {:.1}", t.peak_k());
         assert!(t.peak_k() < 500.0);
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn stacked_analysis_has_four_power_layers() {
         let w = workload_by_name("gzip-like").unwrap();
-        let r = run_chip(Variant::ThreeD, &w, 40_000).unwrap();
+        let r = run_chip(Variant::ThreeD, w, 40_000).unwrap();
         let t = thermal_analysis(&r, 24).unwrap();
         for die in 0..4 {
             assert!(t.map.layer_of_power_index(die).is_some(), "die {die} missing");
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn power_grids_conserve_chip_power() {
         let w = workload_by_name("gzip-like").unwrap();
-        let r = run_chip(Variant::ThreeD, &w, 40_000).unwrap();
+        let r = run_chip(Variant::ThreeD, w, 40_000).unwrap();
         let fp = Floorplan::stacked_dual_core();
         let grids = power_grids(&r, &fp, 24, 24);
         let painted: f64 = grids.iter().map(|g| g.total_watts()).sum();
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn iso_power_scaling_scales_heat() {
         let w = workload_by_name("gzip-like").unwrap();
-        let r = run_chip(Variant::ThreeDNoTh, &w, 30_000).unwrap();
+        let r = run_chip(Variant::ThreeDNoTh, w, 30_000).unwrap();
         let base = thermal_analysis_scaled(&r, 20, 1.0).unwrap();
         let hot = thermal_analysis_scaled(&r, 20, 1.5).unwrap();
         let ambient = th_thermal::AMBIENT_K;

@@ -11,7 +11,7 @@
 
 use crate::inst::{Inst, Op};
 use crate::mem::Memory;
-use crate::program::Program;
+use crate::program::{fetch_at, Program};
 use crate::reg::Reg;
 use std::fmt;
 
@@ -85,9 +85,13 @@ pub struct RunSummary {
 }
 
 /// The TH64 functional machine: registers + memory + program counter.
+///
+/// It keeps only the program's entry and text (for fetch); the data
+/// segments are copied into [`Machine::mem`] once, at construction.
 #[derive(Clone, Debug)]
 pub struct Machine {
-    program: Program,
+    entry: u64,
+    text: Vec<Inst>,
     regs: [u64; Reg::COUNT],
     pc: u64,
     mem: Memory,
@@ -103,7 +107,8 @@ impl Machine {
     pub fn new(program: &Program) -> Machine {
         Machine {
             mem: program.build_memory(),
-            program: program.clone(),
+            entry: program.entry,
+            text: program.text.clone(),
             regs: [0; Reg::COUNT],
             pc: program.entry,
             halted: false,
@@ -163,7 +168,7 @@ impl Machine {
             return Err(Trap::Halted);
         }
         let pc = self.pc;
-        let inst = *self.program.fetch(pc).ok_or(Trap::IllegalPc(pc))?;
+        let inst = *fetch_at(self.entry, &self.text, pc).ok_or(Trap::IllegalPc(pc))?;
         let rec = self.execute(pc, inst);
         self.pc = rec.next_pc;
         self.icount += 1;

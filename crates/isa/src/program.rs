@@ -34,10 +34,7 @@ impl Program {
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the
     /// text segment or misaligned.
     pub fn fetch(&self, pc: u64) -> Option<&Inst> {
-        if pc < self.entry || !(pc - self.entry).is_multiple_of(Inst::SIZE) {
-            return None;
-        }
-        self.text.get(((pc - self.entry) / Inst::SIZE) as usize)
+        fetch_at(self.entry, &self.text, pc)
     }
 
     /// Address one past the last instruction.
@@ -72,6 +69,16 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.text.is_empty()
     }
+}
+
+/// Fetches the instruction at `pc` from a text segment that starts at
+/// `entry`; shared by [`Program::fetch`] and the functional machine, which
+/// keeps only the text of the program it was built from.
+pub(crate) fn fetch_at(entry: u64, text: &[Inst], pc: u64) -> Option<&Inst> {
+    if pc < entry || !(pc - entry).is_multiple_of(Inst::SIZE) {
+        return None;
+    }
+    text.get(((pc - entry) / Inst::SIZE) as usize)
 }
 
 #[cfg(test)]

@@ -155,7 +155,7 @@ impl ShardTask {
             ShardTask::ChipRun { workload, variant, budget } => {
                 let w = workload_by_name(workload)
                     .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-                let run = run_chip(*variant, &w, *budget)
+                let run = run_chip(*variant, w, *budget)
                     .map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let table = run.die_table();
                 Ok(ShardPayload {
@@ -173,7 +173,7 @@ impl ShardTask {
             ShardTask::ThermalRun { workload, variant, budget, rows } => {
                 let w = workload_by_name(workload)
                     .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-                let run = run_chip(*variant, &w, *budget)
+                let run = run_chip(*variant, w, *budget)
                     .map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let analysis = thermal_analysis(&run, *rows).map_err(|e| e.to_string())?;
                 Ok(ShardPayload {
@@ -200,7 +200,7 @@ impl ShardTask {
                 let cfg = CoSimConfig::sampled(*interval_s, *slice_cycles, *steps);
                 let trace = dtm::run_variant_scaled(
                     *variant,
-                    &w,
+                    w,
                     *cap_k,
                     *rows,
                     policy.build(*cap_k),

@@ -93,6 +93,16 @@ pub enum SolveError {
         /// Grids provided.
         got: usize,
     },
+    /// A power cell is NaN or infinite. Rejected up front: the residual
+    /// would be NaN and never pass the tolerance test.
+    NonFinitePower {
+        /// Index of the offending grid in the power slice.
+        layer: usize,
+        /// Cell row.
+        row: usize,
+        /// Cell column.
+        col: usize,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -104,6 +114,9 @@ impl fmt::Display for SolveError {
             }
             SolveError::PowerLayerCount { expected, got } => {
                 write!(f, "model has {expected} active layers but {got} power grids were given")
+            }
+            SolveError::NonFinitePower { layer, row, col } => {
+                write!(f, "power grid {layer} has a non-finite cell at ({row}, {col})")
             }
         }
     }
@@ -255,9 +268,13 @@ impl SteadySolver {
                 .model
                 .layer_of_power_index(power_index)
                 .expect("power index validated by StackModel");
-            for r in 0..self.rows {
-                for c in 0..self.cols {
-                    p[self.idx(layer, r, c)] = grid.cell(r, c);
+            for row in 0..self.rows {
+                for col in 0..self.cols {
+                    let w = grid.cell(row, col);
+                    if !w.is_finite() {
+                        return Err(SolveError::NonFinitePower { layer: power_index, row, col });
+                    }
+                    p[self.idx(layer, row, col)] = w;
                 }
             }
         }
@@ -606,7 +623,8 @@ impl SteadySolver {
     ///
     /// # Errors
     ///
-    /// [`SolveError`] on power-grid shape mismatch or non-convergence.
+    /// [`SolveError`] on power-grid shape mismatch, a non-finite power
+    /// cell, or non-convergence.
     pub fn solve_steady(
         &self,
         power: &[PowerGrid],
@@ -699,8 +717,8 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// [`SolveError`] on shape mismatch or if the inner relaxation fails
-    /// to converge.
+    /// [`SolveError`] on shape mismatch, a non-finite power cell, or if
+    /// the inner relaxation fails to converge.
     pub fn step(
         &mut self,
         power: &[PowerGrid],
@@ -928,6 +946,30 @@ mod tests {
             Err(SolveError::PowerLayerCount { expected: 1, got: 0 }) => {}
             other => panic!("expected count error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_power_is_rejected_before_relaxing() {
+        let (rows, cols) = (4, 4);
+        let (dx, dy) = (0.01 / cols as f64, 0.01 / rows as f64);
+        let opts = SolveOptions::default();
+        for bad in [f64::NAN, f64::INFINITY] {
+            // Finite background, one bad cell at (1, 2).
+            let mut power = uniform_power(rows, cols, 30.0);
+            power[0].paint_rect(2.1 * dx, 1.1 * dy, 2.9 * dx, 1.9 * dy, bad);
+            let expected = SolveError::NonFinitePower { layer: 0, row: 1, col: 2 };
+
+            let solver = SteadySolver::new(slab_model(0.25), rows, cols);
+            assert_eq!(solver.solve_steady(&power, &opts).unwrap_err(), expected, "{bad}");
+
+            let mut tr = TransientSolver::from_ambient(solver);
+            let before = tr.temps().to_vec();
+            assert_eq!(tr.step(&power, 1e-3, &opts).unwrap_err(), expected, "{bad}");
+            assert_eq!(tr.temps(), &before[..], "a rejected step must leave the field alone");
+            assert_eq!(tr.elapsed_s(), 0.0);
+        }
+        let msg = SolveError::NonFinitePower { layer: 0, row: 1, col: 2 }.to_string();
+        assert!(msg.contains("non-finite") && msg.contains("(1, 2)"), "{msg}");
     }
 
     #[test]

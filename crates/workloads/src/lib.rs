@@ -21,11 +21,17 @@
 //! self-validates (tests check final register checksums against the
 //! functional interpreter).
 //!
+//! The registry is built once per process, on first use, and every
+//! accessor hands out `'static` borrows into it: looking a kernel up is a
+//! cheap search, never a rebuild or a copy of its data image.
+//!
 //! ```
-//! use th_workloads::{all_workloads, Suite};
-//! let suite: Vec<_> = all_workloads();
+//! use th_workloads::{all_workloads, workload_by_name, Suite};
+//! let suite: &[_] = all_workloads();
 //! assert!(suite.len() >= 18);
 //! assert!(suite.iter().any(|w| w.suite == Suite::SpecInt));
+//! let mcf = workload_by_name("mcf-like").unwrap();
+//! assert!(std::ptr::eq(mcf, workload_by_name("mcf-like").unwrap()));
 //! ```
 
 #![deny(missing_docs)]
@@ -38,6 +44,7 @@ mod specfp;
 mod specint;
 
 use std::fmt;
+use std::sync::OnceLock;
 use th_isa::Program;
 
 /// The benchmark suite a workload belongs to (the grouping of Figure 8).
@@ -83,7 +90,10 @@ impl fmt::Display for Suite {
 }
 
 /// A runnable benchmark kernel.
-#[derive(Clone, Debug)]
+///
+/// Deliberately not `Clone`: the largest data image is 16 MB, and every
+/// consumer borrows the one copy in the registry.
+#[derive(Debug)]
 pub struct Workload {
     /// Kernel name (e.g. `"mcf-like"`).
     pub name: &'static str,
@@ -97,26 +107,34 @@ pub struct Workload {
     pub inst_budget: u64,
 }
 
-/// Builds every workload in the registry.
-pub fn all_workloads() -> Vec<Workload> {
-    let mut v = Vec::new();
-    v.extend(specint::workloads());
-    v.extend(specfp::workloads());
-    v.extend(media::workloads());
-    v.extend(embedded::workloads());
-    v.extend(pointer::workloads());
-    v.extend(bio::workloads());
-    v
+/// Every workload in the registry, in suite order.
+///
+/// The registry is built on the first call and lives for the rest of the
+/// process; later calls return the same slice. Each kernel seeds its own
+/// generator, so the contents do not depend on which call builds them.
+pub fn all_workloads() -> &'static [Workload] {
+    static REGISTRY: OnceLock<Vec<Workload>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let mut v = Vec::new();
+        v.extend(specint::workloads());
+        v.extend(specfp::workloads());
+        v.extend(media::workloads());
+        v.extend(embedded::workloads());
+        v.extend(pointer::workloads());
+        v.extend(bio::workloads());
+        v
+    })
 }
 
-/// Builds the workloads of one suite.
-pub fn suite_workloads(suite: Suite) -> Vec<Workload> {
-    all_workloads().into_iter().filter(|w| w.suite == suite).collect()
+/// The workloads of one suite, borrowed from [`all_workloads`].
+pub fn suite_workloads(suite: Suite) -> Vec<&'static Workload> {
+    all_workloads().iter().filter(|w| w.suite == suite).collect()
 }
 
-/// Builds a single workload by name.
-pub fn workload_by_name(name: &str) -> Option<Workload> {
-    all_workloads().into_iter().find(|w| w.name == name)
+/// Looks up one workload by name in [`all_workloads`] (built once per
+/// process, so a lookup never rebuilds or copies a kernel).
+pub fn workload_by_name(name: &str) -> Option<&'static Workload> {
+    all_workloads().iter().find(|w| w.name == name)
 }
 
 #[cfg(test)]
@@ -168,6 +186,26 @@ mod tests {
     fn lookup_by_name() {
         assert!(workload_by_name("mcf-like").is_some());
         assert!(workload_by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn registry_is_built_once_and_lookups_borrow_it() {
+        let a = workload_by_name("mcf-like").unwrap();
+        let b = workload_by_name("mcf-like").unwrap();
+        assert!(std::ptr::eq(a, b), "two lookups returned different copies");
+        assert_eq!(all_workloads().as_ptr(), all_workloads().as_ptr());
+        let all = all_workloads();
+        for w in all {
+            let found = workload_by_name(w.name).unwrap();
+            assert!(
+                all.iter().any(|r| std::ptr::eq(r, found)),
+                "{} lookup does not point into the registry",
+                w.name
+            );
+        }
+        for w in suite_workloads(Suite::Pointer) {
+            assert!(all.iter().any(|r| std::ptr::eq(r, w)));
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let traces = th_exec::pool().map(&[Variant::ThreeDNoTh, Variant::ThreeD], |&v| {
-        dtm::run_variant_scaled(v, &w, cap_k, 24, kind.build(cap_k), cfg)
+        dtm::run_variant_scaled(v, w, cap_k, 24, kind.build(cap_k), cfg)
     });
 
     for t in &traces {

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>10} {:>10} {:>10} {:>10}", "clock", "inst/ns", "power", "peak K");
     for scale in [1.0, 0.9, 0.8] {
         let clock = plan.three_d_ghz * scale;
-        let mut run = run_chip(Variant::ThreeD, &w, u64::MAX)?;
+        let mut run = run_chip(Variant::ThreeD, w, u64::MAX)?;
         // Reprice the same activity at the scaled clock.
         let mut pcfg = Variant::ThreeD.power_config();
         pcfg.clock_ghz = clock;

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("unknown workload `{workload}`"))?;
 
     println!("simulating {} on {} ...", w.name, variant);
-    let run = run_chip(variant, &w, u64::MAX)?;
+    let run = run_chip(variant, w, u64::MAX)?;
     let analysis = thermal_analysis(&run, 40)?;
     let map = &analysis.map;
 

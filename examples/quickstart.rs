@@ -43,11 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 2. The paper's evaluation: a workload on two design points. ---
-    let workload: Workload =
+    let workload: &Workload =
         workload_by_name("mpeg2-like").expect("bundled workload exists");
     println!("running {} on Base and 3D ...", workload.name);
-    let base = run_chip(Variant::Base, &workload, u64::MAX)?;
-    let three_d = run_chip(Variant::ThreeD, &workload, u64::MAX)?;
+    let base = run_chip(Variant::Base, workload, u64::MAX)?;
+    let three_d = run_chip(Variant::ThreeD, workload, u64::MAX)?;
 
     println!("                {:>12} {:>12}", "Base", "3D+TH");
     println!("clock (GHz)     {:>12.2} {:>12.2}", base.clock_ghz, three_d.clock_ghz);

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("heat-up traces running {} (50 ms implicit-Euler steps):\n", w.name);
     let mut traces = Vec::new();
     for variant in [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD] {
-        let run = run_chip(variant, &w, u64::MAX)?;
+        let run = run_chip(variant, w, u64::MAX)?;
         let trace = transient_heatup(&run, 24, dt, steps)?;
         traces.push((variant, run.power.total_w(), trace));
     }

@@ -26,7 +26,7 @@ const DYNAMIC_W_TOLERANCE: f64 = 0.08;
 #[test]
 fn ledger_and_modeled_watts_agree_on_experiment_workloads() {
     let model = PowerModel::new();
-    let runs = th_exec::pool().map(&all_workloads(), |w| {
+    let runs = th_exec::pool().map(all_workloads(), |w| {
         run_chip(Variant::ThreeD, w, 40_000).expect("workload runs")
     });
     for r in &runs {
@@ -62,7 +62,7 @@ fn measured_herding_keeps_the_register_file_on_the_top_die() {
     // either the ledger lost recording sites or herding stopped steering
     // accesses to the top die.
     let w = workload_by_name("mpeg2-like").expect("known workload");
-    let run = run_chip(Variant::ThreeD, &w, 60_000).expect("workload runs");
+    let run = run_chip(Variant::ThreeD, w, 60_000).expect("workload runs");
     let model = PowerModel::new();
     let mut ledger_cfg = run.variant.power_config();
     ledger_cfg.activity = ActivitySource::Ledger;
@@ -112,7 +112,7 @@ fn ledger_merge_is_associative_and_commutative_under_fanout() {
     // The experiment drivers fan runs out over the th-exec pool and fold
     // the per-run stats in reduction order; any grouping or order must
     // produce the same chip-level ledger.
-    let runs = th_exec::pool().map(&all_workloads(), |w| {
+    let runs = th_exec::pool().map(all_workloads(), |w| {
         run_chip(Variant::ThreeD, w, 20_000).expect("workload runs")
     });
     let ledgers: Vec<&ActivityMatrix> = runs.iter().map(|r| &r.core_stats.activity).collect();

@@ -15,7 +15,7 @@ fn traces_with_pool(pool: &Pool) -> Vec<dtm::DtmTrace> {
     let w = workload_by_name("mpeg2-like").unwrap();
     let cfg = CoSimConfig::sampled(0.02, 20_000, 10);
     pool.map(&[Variant::ThreeDNoTh, Variant::ThreeD], |&v| {
-        dtm::run_variant_scaled(v, &w, 376.0, 10, PolicyKind::Dvfs.build(376.0), cfg)
+        dtm::run_variant_scaled(v, w, 376.0, 10, PolicyKind::Dvfs.build(376.0), cfg)
     })
 }
 

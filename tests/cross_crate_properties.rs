@@ -74,7 +74,7 @@ proptest! {
 #[test]
 fn thermal_rise_is_linear_in_power() {
     let w = workload_by_name("gzip-like").unwrap();
-    let r = run_chip(Variant::ThreeD, &w, 40_000).unwrap();
+    let r = run_chip(Variant::ThreeD, w, 40_000).unwrap();
     let a = thermal_analysis_scaled(&r, 16, 1.0).unwrap();
     let b = thermal_analysis_scaled(&r, 16, 2.0).unwrap();
     let ambient = th_thermal::AMBIENT_K;
@@ -91,7 +91,7 @@ fn power_breakdown_sums_to_total() {
     for name in ["gzip-like", "mcf-like", "mpeg2-like"] {
         let w = workload_by_name(name).unwrap();
         for variant in [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD] {
-            let r = run_chip(variant, &w, 40_000).unwrap();
+            let r = run_chip(variant, w, 40_000).unwrap();
             let sum: f64 = r.power.per_unit.iter().map(|(_, w)| w).sum::<f64>()
                 + r.power.clock_w
                 + r.power.leakage_w;
@@ -107,7 +107,7 @@ fn stats_merge_and_delta_invert_on_a_real_run() {
     // the activity ledger. `merge` and `subtract_prefix` must cover every
     // field, so a run minus itself is empty and (s ⊔ s) − s is s again.
     let w = workload_by_name("mpeg2-like").unwrap();
-    let s = run_chip(Variant::ThreeD, &w, 20_000).unwrap().core_stats;
+    let s = run_chip(Variant::ThreeD, w, 20_000).unwrap().core_stats;
     assert!(s.cycles > 0 && s.rf_reads_low > 0 && s.dcache_accesses > 0);
     assert!(s.rs_occupancy_cycles_per_die.iter().all(|&c| c > 0));
     assert!(s.width_pred.predictions > 0 && s.pam.total() > 0);

@@ -34,7 +34,7 @@ fn asm_text_to_timing_pipeline() {
 fn timing_matches_functional_instruction_count() {
     // The timing model must commit exactly the instructions the golden
     // model executes, for every bundled workload.
-    for w in all_workloads().into_iter().take(6) {
+    for w in all_workloads().iter().take(6) {
         let mut m = th_isa::Machine::new(&w.program);
         let summary = m.run(w.inst_budget).expect("functional run");
         let r = Simulator::new(SimConfig::baseline())
@@ -54,7 +54,7 @@ fn every_variant_runs_every_suite_representative() {
     {
         let w = workload_by_name(name).unwrap();
         for &variant in Variant::figure8() {
-            let r = run_chip(variant, &w, 60_000).expect("runs");
+            let r = run_chip(variant, w, 60_000).expect("runs");
             assert!(r.ipc() > 0.0, "{name} at {variant}: zero IPC");
             assert!(r.power.total_w() > 30.0 && r.power.total_w() < 150.0);
         }
@@ -65,7 +65,7 @@ fn every_variant_runs_every_suite_representative() {
 fn chip_to_thermal_round_trip() {
     let w = workload_by_name("gzip-like").unwrap();
     for variant in [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD] {
-        let run = run_chip(variant, &w, 60_000).expect("runs");
+        let run = run_chip(variant, w, 60_000).expect("runs");
         let t = thermal_analysis(&run, 20).expect("solves");
         assert!(t.peak_k() > th_thermal::AMBIENT_K);
         assert!(t.peak_k() < 460.0, "{variant}: {:.1} K", t.peak_k());
@@ -82,10 +82,10 @@ fn chip_to_thermal_round_trip() {
 fn herding_only_ever_reduces_power() {
     // For every workload, 3D+TH must cost no more than 3D-noTH, which
     // must cost no more than planar.
-    for w in all_workloads().into_iter().take(8) {
-        let base = run_chip(Variant::Base, &w, 50_000).unwrap().power.total_w();
-        let noth = run_chip(Variant::ThreeDNoTh, &w, 50_000).unwrap().power.total_w();
-        let th = run_chip(Variant::ThreeD, &w, 50_000).unwrap().power.total_w();
+    for w in all_workloads().iter().take(8) {
+        let base = run_chip(Variant::Base, w, 50_000).unwrap().power.total_w();
+        let noth = run_chip(Variant::ThreeDNoTh, w, 50_000).unwrap().power.total_w();
+        let th = run_chip(Variant::ThreeD, w, 50_000).unwrap().power.total_w();
         assert!(noth < base, "{}: 3D {noth:.1} !< planar {base:.1}", w.name);
         assert!(th <= noth + 0.5, "{}: TH {th:.1} > noTH {noth:.1}", w.name);
     }

@@ -23,8 +23,8 @@ fn engines_agree_on_every_experiment_workload() {
     let budget = 3_000;
     for w in all_workloads() {
         for cfg in [SimConfig::baseline(), SimConfig::three_d(3.93)] {
-            let scan = run(cfg, CoreEngine::Scan, &w, budget);
-            let event = run(cfg, CoreEngine::Event, &w, budget);
+            let scan = run(cfg, CoreEngine::Scan, w, budget);
+            let event = run(cfg, CoreEngine::Event, w, budget);
             assert_eq!(scan, event, "engines diverged on {}", w.name);
         }
     }
@@ -40,7 +40,7 @@ fn golden_stats_gzip_like_three_d() {
         [1989, 3200, 3200, 3179, 3176, 266, 0, 534, 266, 14, 4, 0, 1188, 1134, 69, 53206];
     let w = workload_by_name("gzip-like").expect("workload");
     for engine in [CoreEngine::Scan, CoreEngine::Event] {
-        let s = run(SimConfig::three_d(3.93), engine, &w, 4_000);
+        let s = run(SimConfig::three_d(3.93), engine, w, 4_000);
         let got = [
             s.cycles,
             s.committed,

@@ -32,8 +32,8 @@ fn speedup_extremes() {
     let budget = 250_000;
     let speedup = |name: &str| {
         let w = workload_by_name(name).unwrap();
-        let b = run_chip(Variant::Base, &w, budget).unwrap();
-        let d = run_chip(Variant::ThreeD, &w, budget).unwrap();
+        let b = run_chip(Variant::Base, w, budget).unwrap();
+        let d = run_chip(Variant::ThreeD, w, budget).unwrap();
         d.ipns() / b.ipns()
     };
     let mcf = speedup("mcf-like");
@@ -49,9 +49,9 @@ fn speedup_extremes() {
 #[test]
 fn power_distribution() {
     let w = workload_by_name("mpeg2-like").unwrap();
-    let base = run_chip(Variant::Base, &w, u64::MAX).unwrap().power.total_w();
-    let noth = run_chip(Variant::ThreeDNoTh, &w, u64::MAX).unwrap().power.total_w();
-    let th = run_chip(Variant::ThreeD, &w, u64::MAX).unwrap().power.total_w();
+    let base = run_chip(Variant::Base, w, u64::MAX).unwrap().power.total_w();
+    let noth = run_chip(Variant::ThreeDNoTh, w, u64::MAX).unwrap().power.total_w();
+    let th = run_chip(Variant::ThreeD, w, u64::MAX).unwrap().power.total_w();
     assert!((base - 90.0).abs() < 2.0, "baseline {base:.1} W (paper 90)");
     assert!((noth - 72.7).abs() < 3.0, "3D {noth:.1} W (paper 72.7)");
     assert!((th - 64.3).abs() < 3.0, "3D+TH {th:.1} W (paper 64.3)");
@@ -64,8 +64,8 @@ fn power_distribution() {
 fn power_savings_range() {
     let saving = |name: &str| {
         let w = workload_by_name(name).unwrap();
-        let b = run_chip(Variant::Base, &w, u64::MAX).unwrap().power.total_w();
-        let d = run_chip(Variant::ThreeD, &w, u64::MAX).unwrap().power.total_w();
+        let b = run_chip(Variant::Base, w, u64::MAX).unwrap().power.total_w();
+        let d = run_chip(Variant::ThreeD, w, u64::MAX).unwrap().power.total_w();
         1.0 - d / b
     };
     let susan = saving("susan-like");
@@ -81,10 +81,10 @@ fn power_savings_range() {
 fn thermal_deltas() {
     let w = workload_by_name("mpeg2-like").unwrap();
     let rows = 24;
-    let base = thermal_analysis(&run_chip(Variant::Base, &w, u64::MAX).unwrap(), rows).unwrap();
+    let base = thermal_analysis(&run_chip(Variant::Base, w, u64::MAX).unwrap(), rows).unwrap();
     let noth =
-        thermal_analysis(&run_chip(Variant::ThreeDNoTh, &w, u64::MAX).unwrap(), rows).unwrap();
-    let th = thermal_analysis(&run_chip(Variant::ThreeD, &w, u64::MAX).unwrap(), rows).unwrap();
+        thermal_analysis(&run_chip(Variant::ThreeDNoTh, w, u64::MAX).unwrap(), rows).unwrap();
+    let th = thermal_analysis(&run_chip(Variant::ThreeD, w, u64::MAX).unwrap(), rows).unwrap();
 
     assert!((base.peak_k() - 360.0).abs() < 5.0, "planar peak {:.1} (paper 360)", base.peak_k());
     let d_noth = noth.peak_k() - base.peak_k();
@@ -101,7 +101,7 @@ fn width_prediction_accuracy() {
     let mut total = 0u64;
     for name in ["gzip-like", "mpeg2-like", "susan-like", "crafty-like", "swalign-like"] {
         let w = workload_by_name(name).unwrap();
-        let r = run_chip(Variant::ThreeD, &w, 200_000).unwrap();
+        let r = run_chip(Variant::ThreeD, w, 200_000).unwrap();
         correct += r.core_stats.width_pred.correct_low + r.core_stats.width_pred.correct_full;
         total += r.core_stats.width_pred.predictions;
     }
@@ -114,8 +114,8 @@ fn width_prediction_accuracy() {
 #[test]
 fn iso_power_density_study() {
     let w = workload_by_name("mpeg2-like").unwrap();
-    let base = run_chip(Variant::Base, &w, u64::MAX).unwrap();
-    let mut iso = run_chip(Variant::ThreeDNoTh, &w, u64::MAX).unwrap();
+    let base = run_chip(Variant::Base, w, u64::MAX).unwrap();
+    let mut iso = run_chip(Variant::ThreeDNoTh, w, u64::MAX).unwrap();
     let noth_peak = thermal_analysis(&iso, 24).unwrap().peak_k();
     iso.power = base.power.clone();
     iso.chip_stats = base.chip_stats.clone();
